@@ -722,21 +722,10 @@ let inject_cmd =
       List.map (fun (p : C.port) -> p.C.port_name) (C.outputs top)
     in
     let sim = E.create ~kind top in
-    let contains hay needle =
-      let n = String.length hay and m = String.length needle in
-      let rec go i = i + m <= n && (String.sub hay i m = needle || go (i + 1)) in
-      go 0
-    in
     (* The protection strobes exported by the boundary modules (they
        dangle into nc_ wires at the system level but remain observable
        flat signals). *)
-    let watch =
-      List.filter
-        (fun s ->
-          contains s "parity_error" || contains s "bus_timeout"
-          || contains s "par_err" || contains s "wd_to")
-        (E.signal_names sim)
-    in
+    let watch = List.filter Bussyn.Archs.is_protection_tap (E.signal_names sim) in
     let observed = outputs @ watch in
     let n_out = List.length outputs in
     (* Deterministic input stimulus, shared by the golden and every

@@ -259,6 +259,24 @@ let protect_wires c ~boundary ~sel ~ack ~data =
     wf "w_par_err" 1 ("PARCHK", "error") (boundary, "parity_error");
   ]
 
+(* Whether flat signal [name] carries one of the strobes above: the
+   boundary ports [parity_error] / [bus_timeout] or the wires
+   [w_par_err] / [w_wd_to] that drive them.  Fault campaigns watch
+   these to tell a detected fault from a silent one. *)
+let rec matches_at name needle i j =
+  j = String.length needle
+  || (name.[i + j] = needle.[j] && matches_at name needle i (j + 1))
+
+let rec occurs_from name needle i =
+  i + String.length needle <= String.length name
+  && (matches_at name needle i 0 || occurs_from name needle (i + 1))
+
+let is_protection_tap name =
+  occurs_from name "parity_error" 0
+  || occurs_from name "bus_timeout" 0
+  || occurs_from name "par_err" 0
+  || occurs_from name "wd_to" 0
+
 (* ------------------------------------------------------------------ *)
 (* BFBA / Hybrid BAN                                                  *)
 (* ------------------------------------------------------------------ *)

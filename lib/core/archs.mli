@@ -52,6 +52,12 @@ type config = {
           boundary module *)
 }
 
+val is_protection_tap : string -> bool
+(** Whether a flat signal name carries a protection strobe: a parity
+    error or a bus timeout raised by the hardware [protect] adds.  Fault
+    campaigns watch these signals to count detected faults.  Allocates
+    nothing. *)
+
 val paper_config : n_pes:int -> config
 (** The paper's evaluation setup: 32-bit addresses, 64-bit data, 8 MB
     SRAM per BAN ([mem_addr_width = 20]), Bi-FIFO depth 1024, FCFS global

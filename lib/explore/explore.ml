@@ -77,19 +77,9 @@ type score = {
 (* Scoring                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let contains hay needle =
-  let n = String.length hay and m = String.length needle in
-  let rec go i = i + m <= n && (String.sub hay i m = needle || go (i + 1)) in
-  go 0
-
 (* The same detection taps the serve `inject` job watches: protection
    flags raised by PARITY_CHK and WATCHDOG instances. *)
-let watch_signals sim =
-  List.filter
-    (fun s ->
-      contains s "parity_error" || contains s "bus_timeout"
-      || contains s "par_err" || contains s "wd_to")
-    (E.signal_names sim)
+let watch_signals sim = List.filter A.is_protection_tap (E.signal_names sim)
 
 let score ?(engine = E.default_kind) ?(generate = G.generate) (p : Profile.t)
     c =

@@ -22,21 +22,26 @@ type report = {
 
 exception Combinational_cycle of string list
 (** A dependency cycle among combinational nodes; the payload is the
-    node names along the cycle, in dependency order. *)
+    node names along the cycle, in dependency order.  The same exception
+    as {!Flat.Combinational_cycle}. *)
 
 val levelize : (string * string list) list -> (string * int) list
 (** [levelize nodes] topologically orders combinational [nodes], each
-    given as [(name, dependencies)].  Dependencies that are not
-    themselves nodes (inputs, registers, memory words) are sources at
-    level 0.  Returns every node paired with its level — [1 + max] of
-    its dependencies' levels — in evaluation (dependency-first) order,
-    so evaluating the returned sequence once settles the whole network
-    without any fixed-point iteration.  The traversal is deterministic
-    in the order of [nodes].
+    given as [(name, dependencies)]: the by-name view of
+    {!Flat.levelize}, with the same order and levels.  Dependencies that
+    are not themselves nodes (inputs, registers, memory words) are
+    sources at level 0.  Returns every node paired with its level —
+    [1 + max] of its dependencies' levels — in evaluation
+    (dependency-first) order, so evaluating the returned sequence once
+    settles the whole network without any fixed-point iteration.  The
+    traversal is deterministic in the order of [nodes].
     @raise Combinational_cycle on a dependency cycle. *)
 
 val of_circuit : Circuit.t -> report
-(** Flatten the hierarchy and return the critical path.
+(** Flatten the hierarchy ({!Flat.of_circuit}) and return the critical
+    path.  Among endpoints of the greatest depth, combinational
+    targets come before register inputs and those before memory write
+    ports; within each kind the last declared names the path.
     @raise Invalid_argument on combinational loops. *)
 
 val expr_levels : env:(string -> int) -> (string -> int) -> Expr.t -> int

@@ -4,17 +4,15 @@
    ([settle] / [step]) performs zero string hashing and zero expression
    tree traversal:
 
-   1. {b Intern}: the hierarchy is flattened (every signal of every
-      instance becomes [prefix ^ signal]; instance boundaries become
-      alias assignments) and each flat name is interned into an integer
-      slot.  Values live in one dense [Bits.t array] indexed by slot;
-      the [string -> slot] table survives only at the API boundary
-      ([set_input] / [peek] / VCD).
-   2. {b Compile}: every [Expr.t] is compiled into a closure over slot
-      indices — operator dispatch and variable resolution happen here,
-      not per cycle.
+   1. {b Intern}: {!Flat.of_circuit} flattens the hierarchy and interns
+      every flat signal into an integer slot.  Values live in one dense
+      [Bits.t array] indexed by slot; the [string -> slot] table
+      survives only at the API boundary ([set_input] / [peek] / VCD).
+   2. {b Compile}: every flat expression is compiled into a closure
+      over slot indices — operator dispatch happens here, not per
+      cycle.
    3. {b Levelize}: combinational assignments and memory read ports are
-      topologically ordered once ({!Depth.levelize}), so one linear
+      topologically ordered once ({!Flat.schedule}), so one linear
       sweep of the schedule settles the network; combinational loops
       are rejected at [create] time with the offending path. *)
 
@@ -29,110 +27,60 @@ type flat_mem = {
   fm_width : int;
   fm_depth : int;
   fm_init : Bits.t array;
-  fm_writes : Circuit.mem_write list; (* exprs already renamed *)
+  fm_writes : Circuit.mem_write list;
   fm_reads : (string * Expr.t) list;
 }
 
 (* ------------------------------------------------------------------ *)
-(* Phase 1: flatten the hierarchy and intern signal names.             *)
+(* By-name view of the flat netlist                                    *)
 (* ------------------------------------------------------------------ *)
 
 let flatten (top : Circuit.t) =
-  let widths = Hashtbl.create 256 in
-  (* flat name -> instance path that declared it, for error reporting *)
-  let origins = Hashtbl.create 256 in
-  let decls = ref [] in (* (flat name, width), reversed declaration order *)
-  let assigns = ref [] in
-  let regs = ref [] in
-  let mems = ref [] in
-  let rec go prefix path (c : Circuit.t) =
-    let path_str () =
-      match path with
-      | [] -> Printf.sprintf "<top> (%s)" (Circuit.name c)
-      | _ ->
-          Printf.sprintf "%s (%s)"
-            (String.concat "." (List.rev path))
-            (Circuit.name c)
-    in
-    let add_width name w =
-      (match Hashtbl.find_opt origins name with
-      | Some first ->
-          invalid_arg
-            (Printf.sprintf
-               "Interp: duplicate flat signal %s: first declared in instance \
-                %s, collides with a declaration in instance %s"
-               name first (path_str ()))
-      | None -> Hashtbl.add origins name (path_str ()));
-      Hashtbl.add widths name w;
-      decls := (name, w) :: !decls
-    in
-    let ren n = prefix ^ n in
-    let rename_expr = Expr.map_vars ren in
-    List.iter
-      (fun (p : Circuit.port) ->
-        (* Top-level inputs keep their names; instance ports are wires. *)
-        add_width (ren p.port_name) p.port_width)
-      c.ports;
-    List.iter
-      (fun (w : Circuit.signal) -> add_width (ren w.sig_name) w.sig_width)
-      c.wires;
-    List.iter
-      (fun (r : Circuit.reg) ->
-        add_width (ren r.reg_name) r.reg_width;
-        regs :=
-          { fr_name = ren r.reg_name; fr_init = r.init;
-            fr_next = rename_expr r.next }
-          :: !regs)
-      c.regs;
-    List.iter
-      (fun (m : Circuit.memory) ->
-        List.iter (fun (rd, _) -> add_width (ren rd) m.data_width) m.reads;
-        mems :=
-          {
-            fm_name = ren m.mem_name;
-            fm_width = m.data_width;
-            fm_depth = m.depth;
-            fm_init = m.init;
-            fm_writes =
-              List.map
-                (fun (w : Circuit.mem_write) ->
-                  {
-                    Circuit.we = rename_expr w.we;
-                    waddr = rename_expr w.waddr;
-                    wdata = rename_expr w.wdata;
-                  })
-                m.writes;
-            fm_reads =
-              List.map (fun (rd, a) -> (ren rd, rename_expr a)) m.reads;
-          }
-          :: !mems)
-      c.memories;
-    List.iter
-      (fun (a : Circuit.assign) ->
-        assigns := (ren a.target, rename_expr a.expr) :: !assigns)
-      c.assigns;
-    List.iter
-      (fun (i : Circuit.instance) ->
-        let sub_prefix = prefix ^ i.inst_name ^ "$" in
-        go sub_prefix (i.inst_name :: path) i.sub;
-        List.iter
-          (fun (p, e) -> assigns := (sub_prefix ^ p, rename_expr e) :: !assigns)
-          i.in_connections;
-        List.iter
-          (fun (p, w) -> assigns := (ren w, Expr.Var (sub_prefix ^ p)) :: !assigns)
-          i.out_connections)
-      c.instances
-  in
-  go "" [] top;
+  let f = Flat.of_circuit top in
+  let named = Flat.to_expr f in
   let top_inputs = Hashtbl.create 16 in
   List.iter
-    (fun (p : Circuit.port) -> Hashtbl.add top_inputs p.port_name p.port_width)
-    (Circuit.inputs top);
-  ( List.rev !decls, top_inputs, List.rev !assigns, List.rev !regs,
-    List.rev !mems )
+    (fun (name, s) -> Hashtbl.add top_inputs name f.widths.(s))
+    f.inputs;
+  let assigns, reads =
+    List.partition
+      (fun (nd : Flat.node) -> nd.mem < 0)
+      (Array.to_list f.nodes)
+  in
+  ( List.init (Array.length f.names) (fun s -> (f.names.(s), f.widths.(s))),
+    top_inputs,
+    List.map (fun (nd : Flat.node) -> (f.names.(nd.target), named nd.body)) assigns,
+    Array.to_list
+      (Array.map
+         (fun (r : Flat.reg) ->
+           { fr_name = f.names.(r.reg_slot); fr_init = r.reg_init;
+             fr_next = named r.reg_next })
+         f.regs),
+    Array.to_list
+      (Array.mapi
+         (fun mi (m : Flat.mem) ->
+           {
+             fm_name = m.mem_name;
+             fm_width = m.mem_width;
+             fm_depth = m.mem_depth;
+             fm_init = m.mem_init;
+             fm_writes =
+               List.map
+                 (fun (w : Flat.mem_write) ->
+                   { Circuit.we = named w.we; waddr = named w.waddr;
+                     wdata = named w.wdata })
+                 m.mem_writes;
+             fm_reads =
+               List.filter_map
+                 (fun (nd : Flat.node) ->
+                   if nd.mem = mi then Some (f.names.(nd.target), named nd.body)
+                   else None)
+                 reads;
+           })
+         f.mems) )
 
 (* ------------------------------------------------------------------ *)
-(* Phase 2: compile expressions to closures over the value array.      *)
+(* Compile flat expressions to closures over the value array.          *)
 (* ------------------------------------------------------------------ *)
 
 type compiled = unit -> Bits.t
@@ -141,20 +89,18 @@ let bits_true = Bits.of_bool true
 let bits_false = Bits.of_bool false
 let of_bool b = if b then bits_true else bits_false
 
-let compile_expr ~slot (values : Bits.t array) e : compiled =
+let compile_expr (values : Bits.t array) e : compiled =
   let rec go e =
     match e with
-    | Expr.Const b -> fun () -> b
-    | Expr.Var v ->
-        let s = slot v in
-        fun () -> Array.unsafe_get values s
-    | Expr.Select (e, hi, lo) ->
+    | Flat.Const b -> fun () -> b
+    | Flat.Slot s -> fun () -> Array.unsafe_get values s
+    | Flat.Select (e, hi, lo) ->
         let c = go e in
         fun () -> Bits.select (c ()) hi lo
-    | Expr.Concat [ a; b ] ->
+    | Flat.Concat [ a; b ] ->
         let ca = go a and cb = go b in
         fun () -> Bits.concat (ca ()) (cb ())
-    | Expr.Concat es ->
+    | Flat.Concat es ->
         let cs = Array.of_list (List.map go es) in
         if Array.length cs = 0 then invalid_arg "Interp: empty concat";
         fun () ->
@@ -163,14 +109,14 @@ let compile_expr ~slot (values : Bits.t array) e : compiled =
             acc := Bits.concat !acc (cs.(i) ())
           done;
           !acc
-    | Expr.Unop (op, e) -> (
+    | Flat.Unop (op, e) -> (
         let c = go e in
         match op with
         | Expr.Not -> fun () -> Bits.lognot (c ())
         | Expr.Reduce_or -> fun () -> of_bool (Bits.reduce_or (c ()))
         | Expr.Reduce_and -> fun () -> of_bool (Bits.reduce_and (c ()))
         | Expr.Reduce_xor -> fun () -> of_bool (Bits.reduce_xor (c ())))
-    | Expr.Binop (op, a, b) -> (
+    | Flat.Binop (op, a, b) -> (
         let ca = go a and cb = go b in
         match op with
         | Expr.And -> fun () -> Bits.logand (ca ()) (cb ())
@@ -184,13 +130,13 @@ let compile_expr ~slot (values : Bits.t array) e : compiled =
         | Expr.Neq -> fun () -> of_bool (not (Bits.equal (ca ()) (cb ())))
         | Expr.Ult -> fun () -> of_bool (Bits.ult (ca ()) (cb ()))
         | Expr.Ule -> fun () -> of_bool (Bits.ule (ca ()) (cb ())))
-    | Expr.Mux (c, a, b) ->
+    | Flat.Mux (c, a, b) ->
         let cc = go c and ca = go a and cb = go b in
         fun () -> if Bits.reduce_or (cc ()) then ca () else cb ()
-    | Expr.Shift_left (e, k) ->
+    | Flat.Shift_left (e, k) ->
         let c = go e in
         fun () -> Bits.shift_left (c ()) k
-    | Expr.Shift_right (e, k) ->
+    | Flat.Shift_right (e, k) ->
         let c = go e in
         fun () -> Bits.shift_right (c ()) k
   in
@@ -337,126 +283,88 @@ let clock_edge t =
     t.mems
 
 let create top =
-  let decls, input_widths, assigns, regs, mems = flatten top in
-  (* Intern: declaration order fixes the slot numbering. *)
-  let n = List.length decls in
-  let slots = Hashtbl.create (2 * n) in
-  let names = Array.make n "" in
+  let f = Flat.of_circuit top in
+  let n = Array.length f.names in
   let values = Array.make n bits_false in
-  List.iteri
-    (fun i (name, w) ->
-      Hashtbl.replace slots name i;
-      names.(i) <- name;
-      values.(i) <- Bits.zero w)
-    decls;
-  let slot name =
-    match Hashtbl.find_opt slots name with
-    | Some s -> s
-    | None -> invalid_arg (Printf.sprintf "Interp: unknown signal %s" name)
-  in
-  let compile e = compile_expr ~slot values e in
+  Array.iteri (fun s w -> values.(s) <- Bits.zero w) f.widths;
+  let compile e = compile_expr values e in
   (* Memory storage. *)
   let arrays = Hashtbl.create 8 in
   let cmems =
-    Array.of_list
-      (List.map
-         (fun m ->
-           let arr =
-             Array.init m.fm_depth (fun i ->
-                 if i < Array.length m.fm_init then m.fm_init.(i)
-                 else Bits.zero m.fm_width)
-           in
-           Hashtbl.replace arrays m.fm_name arr;
-           let writes =
-             Array.of_list
-               (List.map
-                  (fun (w : Circuit.mem_write) ->
-                    {
-                      cw_we = compile w.we;
-                      cw_addr = compile w.waddr;
-                      cw_data = compile w.wdata;
-                    })
-                  m.fm_writes)
-           in
-           let nw = Array.length writes in
-           {
-             cm_name = m.fm_name;
-             cm_width = m.fm_width;
-             cm_depth = m.fm_depth;
-             cm_init = m.fm_init;
-             cm_arr = arr;
-             cm_writes = writes;
-             cm_we_buf = Array.make (max 1 nw) false;
-             cm_addr_buf = Array.make (max 1 nw) 0;
-             cm_data_buf = Array.make (max 1 nw) bits_false;
-           })
-         mems)
+    Array.map
+      (fun (m : Flat.mem) ->
+        let arr =
+          Array.init m.mem_depth (fun i ->
+              if i < Array.length m.mem_init then m.mem_init.(i)
+              else Bits.zero m.mem_width)
+        in
+        Hashtbl.replace arrays m.mem_name arr;
+        let writes =
+          Array.of_list
+            (List.map
+               (fun (w : Flat.mem_write) ->
+                 {
+                   cw_we = compile w.we;
+                   cw_addr = compile w.waddr;
+                   cw_data = compile w.wdata;
+                 })
+               m.mem_writes)
+        in
+        let nw = Array.length writes in
+        {
+          cm_name = m.mem_name;
+          cm_width = m.mem_width;
+          cm_depth = m.mem_depth;
+          cm_init = m.mem_init;
+          cm_arr = arr;
+          cm_writes = writes;
+          cm_we_buf = Array.make (max 1 nw) false;
+          cm_addr_buf = Array.make (max 1 nw) 0;
+          cm_data_buf = Array.make (max 1 nw) bits_false;
+        })
+      f.mems
   in
-  (* Levelize: combinational assignments plus memory read ports, as one
-     dependency graph over flat names. *)
-  let node_bodies = Hashtbl.create (2 * List.length assigns) in
-  List.iter
-    (fun (tgt, e) -> Hashtbl.replace node_bodies tgt (`Assign e))
-    assigns;
-  List.iter
-    (fun m ->
-      List.iter
-        (fun (rd, a) -> Hashtbl.replace node_bodies rd (`Memread (m, a)))
-        m.fm_reads)
-    mems;
-  let graph =
-    List.map (fun (tgt, e) -> (tgt, Expr.vars e)) assigns
-    @ List.concat_map
-        (fun m -> List.map (fun (rd, a) -> (rd, Expr.vars a)) m.fm_reads)
-        mems
-  in
-  let order =
-    try Depth.levelize graph
-    with Depth.Combinational_cycle cycle ->
-      invalid_arg
-        ("Interp: combinational loop: " ^ String.concat " -> " cycle)
-  in
+  (* Levelize: combinational assignments plus memory read ports. *)
   let sched =
-    Array.of_list
-      (List.map
-         (fun (name, _level) ->
-           let eval =
-             match Hashtbl.find node_bodies name with
-             | `Assign e -> compile e
-             | `Memread (m, a) ->
-                 let caddr = compile a in
-                 let arr = Hashtbl.find arrays m.fm_name in
-                 let depth = m.fm_depth in
-                 let zero = Bits.zero m.fm_width in
-                 fun () ->
-                   let addr = Bits.to_int_trunc (caddr ()) in
-                   if addr < depth then Array.unsafe_get arr addr else zero
-           in
-           { sn_slot = slot name; sn_eval = eval })
-         order)
+    match Flat.schedule f with
+    | exception Flat.Combinational_cycle cycle ->
+        invalid_arg
+          ("Interp: combinational loop: " ^ String.concat " -> " cycle)
+    | s ->
+        Array.map
+          (fun i ->
+            let (nd : Flat.node) = f.nodes.(i) in
+            let eval =
+              if nd.mem < 0 then compile nd.body
+              else begin
+                let caddr = compile nd.body in
+                let m = cmems.(nd.mem) in
+                let arr = m.cm_arr and depth = m.cm_depth in
+                let zero = Bits.zero m.cm_width in
+                fun () ->
+                  let addr = Bits.to_int_trunc (caddr ()) in
+                  if addr < depth then Array.unsafe_get arr addr else zero
+              end
+            in
+            { sn_slot = nd.target; sn_eval = eval })
+          s.Flat.order
   in
   let cregs =
-    Array.of_list
-      (List.map
-         (fun r ->
-           {
-             cr_slot = slot r.fr_name;
-             cr_init = r.fr_init;
-             cr_next = compile r.fr_next;
-           })
-         regs)
+    Array.map
+      (fun (r : Flat.reg) ->
+        { cr_slot = r.reg_slot; cr_init = r.reg_init;
+          cr_next = compile r.reg_next })
+      f.regs
   in
   let top_inputs = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun name _w -> Hashtbl.replace top_inputs name (slot name))
-    input_widths;
+  List.iter (fun (name, s) -> Hashtbl.replace top_inputs name s) f.inputs;
   let driven = Array.make n false in
   Array.iter (fun sn -> driven.(sn.sn_slot) <- true) sched;
   Array.iter (fun (r : creg) -> driven.(r.cr_slot) <- true) cregs;
   let t =
     {
-      slots;
-      names;
+      slots = f.slots;
+      names = f.names;
       top_inputs;
       values;
       sched;

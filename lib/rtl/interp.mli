@@ -3,7 +3,7 @@
     The hierarchy is flattened at {!create} time, every flat signal is
     interned into an integer slot of a dense value array, every
     expression is compiled into a closure over slot indices, and the
-    combinational network is levelized once ({!Depth.levelize}) — so the
+    combinational network is levelized once ({!Flat.schedule}) — so the
     per-cycle hot path performs no string hashing and no expression-tree
     traversal.  One {!step} = settle combinational logic with the
     current inputs, then take one rising clock edge (latch registers and
@@ -150,9 +150,10 @@ val random_campaign :
 
 (**/**)
 
-(* Internal plumbing shared with {!Interp_tape}: both engines flatten
-   through this one function, so the flat-name universe, slot numbering
-   (declaration order) and snapshot layout agree by construction. *)
+(* The by-name view of {!Flat.of_circuit}: flat signals with their
+   widths in slot order, top inputs, assignments, registers and
+   memories, with every expression over flat names.  The flat-name
+   universe and slot numbering are the ones every engine uses. *)
 
 type flat_reg = { fr_name : string; fr_init : Bits.t; fr_next : Expr.t }
 

@@ -35,12 +35,16 @@
      the batch the moment an observer perturbs the simulation or a
      scheduled fault campaign comes due.
 
-   Flattening goes through {!Interp.flatten}, so the flat-name
-   universe, slot numbering and snapshot layout agree with the other
-   engines by construction; {!Interp.state} snapshots interchange
-   freely. *)
+   Flattening and levelizing go through {!Flat}, as in {!Interp}, so
+   the flat-name universe, slot numbering, schedule and snapshot layout
+   agree with the other engines by construction; {!Interp.state}
+   snapshots interchange freely. *)
 
 let small_limit = 62
+
+(* Filler for value arrays.  A large array made with a freshly
+   allocated filler would force a minor collection. *)
+let bits_false = Bits.of_bool false
 
 (* Mask covering [w] low bits, valid for 1 <= w <= 62 (same wraparound
    trick as [Bits.smask]). *)
@@ -171,19 +175,41 @@ let const_cell b v =
   b.b_consts <- (c, v) :: b.b_consts;
   c
 
+(* [what] names the compiled target; it is built only for the error. *)
 let width_err what rw wd =
   invalid_arg
     (Printf.sprintf
        "Interp_tape: %s: expression width %d does not match target width %d"
-       what rw wd)
+       (what ()) rw wd)
 
 (* Emit a move [dst <- src] (same width both sides). *)
 let emit_move b dst src =
   if cell_small b dst then emit b op_mov dst src 0 0 0
   else emit b op_mov_w dst src 0 0 0
 
-(* Compile [e], leaving its value in the returned cell.  [var] resolves
-   signal leaves to their cells.  With [dsto = Some d] the result is
+(* The result cell of a compiled operator: a fresh cell of width [rw],
+   or the forced destination [d], whose width must be [rw]. *)
+let target b ~what dsto rw =
+  match dsto with
+  | None -> new_cell b rw
+  | Some d ->
+      if cell_w b d <> rw then width_err what rw (cell_w b d);
+      d
+
+let call1 b dst f a =
+  let ga = getter b a and set = setter b dst in
+  emit_call b dst (fun iv bv ->
+      let ga = ga iv bv in
+      fun () -> set iv bv (f (ga ())))
+
+let call2 b dst f a c =
+  let ga = getter b a and gc = getter b c and set = setter b dst in
+  emit_call b dst (fun iv bv ->
+      let ga = ga iv bv and gc = gc iv bv in
+      fun () -> set iv bv (f (ga ()) (gc ())))
+
+(* Compile [e], leaving its value in the returned cell; a slot leaf is
+   its own cell.  With [dsto = Some d] the result is
    forced into [d], whose declared width must match the expression's —
    generated circuits are width-correct, and a mismatch here is a
    create-time error rather than a silent truncation.  Operators whose
@@ -191,30 +217,9 @@ let emit_move b dst src =
    (wide operands, out-of-range selects, negative shifts, mismatched
    widths) are emitted as [call] ops over the real {!Bits} functions,
    preserving both values and error behavior. *)
-let rec comp_to b ~var ~what dsto (e : Expr.t) : int =
-  let target rw =
-    match dsto with
-    | None -> new_cell b rw
-    | Some d ->
-        if cell_w b d <> rw then width_err what rw (cell_w b d);
-        d
-  in
-  let comp e = comp_to b ~var ~what None e in
-  let call1 dst f a =
-    let ga = getter b a and set = setter b dst in
-    emit_call b dst (fun iv bv ->
-        let ga = ga iv bv in
-        fun () -> set iv bv (f (ga ())))
-  in
-  let call2 dst f a c =
-    let ga = getter b a and gc = getter b c and set = setter b dst in
-    emit_call b dst (fun iv bv ->
-        let ga = ga iv bv and gc = gc iv bv in
-        fun () -> set iv bv (f (ga ()) (gc ())))
-  in
+let rec comp_to b ~what dsto (e : Flat.expr) : int =
   match e with
-  | Expr.Var v -> (
-      let s = var v in
+  | Flat.Slot s -> (
       match dsto with
       | None -> s
       | Some d ->
@@ -222,7 +227,7 @@ let rec comp_to b ~var ~what dsto (e : Expr.t) : int =
           if wd <> ws then width_err what ws wd;
           emit_move b d s;
           d)
-  | Expr.Const v -> (
+  | Flat.Const v -> (
       match dsto with
       | None -> const_cell b v
       | Some d ->
@@ -230,89 +235,91 @@ let rec comp_to b ~var ~what dsto (e : Expr.t) : int =
             width_err what (Bits.width v) (cell_w b d);
           emit_move b d (const_cell b v);
           d)
-  | Expr.Select (e0, hi, lo) ->
-      let a = comp e0 in
+  | Flat.Select (e0, hi, lo) ->
+      let a = comp_to b ~what None e0 in
       let wa = cell_w b a in
       if lo < 0 || hi < lo || hi >= wa then begin
         (* [Bits.select] raises at evaluation; keep its exact behavior
            (the error surfaces during [create]'s initial settle, as it
            does in the other engines). *)
-        let d = target (max 1 (hi - lo + 1)) in
-        call1 d (fun v -> Bits.select v hi lo) a;
+        let d = target b ~what dsto (max 1 (hi - lo + 1)) in
+        call1 b d (fun v -> Bits.select v hi lo) a;
         d
       end
       else begin
         let rw = hi - lo + 1 in
-        let d = target rw in
+        let d = target b ~what dsto rw in
         if cell_small b a then emit b op_select d a lo 0 (smask rw)
-        else call1 d (fun v -> Bits.select v hi lo) a;
+        else call1 b d (fun v -> Bits.select v hi lo) a;
         d
       end
-  | Expr.Concat [] -> invalid_arg "Interp_tape: empty concat"
-  | Expr.Concat [ e0 ] -> comp_to b ~var ~what dsto e0
-  | Expr.Concat (e0 :: rest) ->
+  | Flat.Concat [] -> invalid_arg "Interp_tape: empty concat"
+  | Flat.Concat [ e0 ] -> comp_to b ~what dsto e0
+  | Flat.Concat (e0 :: rest) ->
       (* MSB-first fold, like the other engines: acc = concat acc next. *)
-      let first = comp e0 in
-      let cells = List.map comp rest in
+      let first = comp_to b ~what None e0 in
+      let cells = List.map (comp_to b ~what None) rest in
       let rec chain acc = function
         | [] -> acc
         | c :: tl ->
             let wa = cell_w b acc and wc = cell_w b c in
             let rw = wa + wc in
-            let d = match tl with [] -> target rw | _ -> new_cell b rw in
+            let d =
+              match tl with [] -> target b ~what dsto rw | _ -> new_cell b rw
+            in
             if rw <= small_limit && cell_small b acc && cell_small b c then
               emit b op_cat d acc c wc 0
-            else call2 d Bits.concat acc c;
+            else call2 b d Bits.concat acc c;
             chain d tl
       in
       chain first cells
-  | Expr.Unop (op, e0) -> (
-      let a = comp e0 in
+  | Flat.Unop (op, e0) -> (
+      let a = comp_to b ~what None e0 in
       let wa = cell_w b a in
       let small = wa <= small_limit in
       match op with
       | Expr.Not ->
-          let d = target wa in
+          let d = target b ~what dsto wa in
           if small then emit b op_not d a 0 0 (smask wa)
-          else call1 d Bits.lognot a;
+          else call1 b d Bits.lognot a;
           d
       | Expr.Reduce_or ->
-          let d = target 1 in
+          let d = target b ~what dsto 1 in
           if small then emit b op_red_or d a 0 0 0
-          else call1 d (fun v -> Bits.of_bool (Bits.reduce_or v)) a;
+          else call1 b d (fun v -> Bits.of_bool (Bits.reduce_or v)) a;
           d
       | Expr.Reduce_and ->
-          let d = target 1 in
+          let d = target b ~what dsto 1 in
           if small then emit b op_red_and d a 0 0 (smask wa)
-          else call1 d (fun v -> Bits.of_bool (Bits.reduce_and v)) a;
+          else call1 b d (fun v -> Bits.of_bool (Bits.reduce_and v)) a;
           d
       | Expr.Reduce_xor ->
-          let d = target 1 in
+          let d = target b ~what dsto 1 in
           if small then emit b op_red_xor d a 0 0 0
-          else call1 d (fun v -> Bits.of_bool (Bits.reduce_xor v)) a;
+          else call1 b d (fun v -> Bits.of_bool (Bits.reduce_xor v)) a;
           d)
-  | Expr.Binop (op, ea, eb) -> (
-      let a = comp ea and c = comp eb in
+  | Flat.Binop (op, ea, eb) -> (
+      let a = comp_to b ~what None ea and c = comp_to b ~what None eb in
       let wa = cell_w b a and wb = cell_w b c in
       let both_small = wa <= small_limit && wb <= small_limit in
       let same_small = both_small && wa = wb in
       let logical code f =
-        let d = target wa in
-        if same_small then emit b code d a c 0 0 else call2 d f a c;
+        let d = target b ~what dsto wa in
+        if same_small then emit b code d a c 0 0 else call2 b d f a c;
         d
       in
       let arith code f =
-        let d = target wa in
-        if same_small then emit b code d a c 0 (smask wa) else call2 d f a c;
+        let d = target b ~what dsto wa in
+        if same_small then emit b code d a c 0 (smask wa) else call2 b d f a c;
         d
       in
       (* [Bits.equal] is width-sensitive (mismatched widths compare
          unequal without raising); ult/ule are plain numeric compares
          for small values regardless of width. *)
       let cmp code inline f =
-        let d = target 1 in
+        let d = target b ~what dsto 1 in
         if inline then emit b code d a c 0 0
-        else call2 d (fun x y -> Bits.of_bool (f x y)) a c;
+        else call2 b d (fun x y -> Bits.of_bool (f x y)) a c;
         d
       in
       match op with
@@ -323,26 +330,26 @@ let rec comp_to b ~var ~what dsto (e : Expr.t) : int =
       | Expr.Sub -> arith op_sub Bits.sub
       | Expr.Mul ->
           let rw = wa + wb in
-          let d = target rw in
+          let d = target b ~what dsto rw in
           if rw <= small_limit then emit b op_mul d a c 0 0
-          else call2 d Bits.mul a c;
+          else call2 b d Bits.mul a c;
           d
       | Expr.Smul ->
           let rw = wa + wb in
-          let d = target rw in
+          let d = target b ~what dsto rw in
           if rw <= small_limit then
             emit b op_smul d a c ((wa lsl 8) lor wb) (smask rw)
-          else call2 d Bits.smul a c;
+          else call2 b d Bits.smul a c;
           d
       | Expr.Eq -> cmp op_eq same_small Bits.equal
       | Expr.Neq -> cmp op_neq same_small (fun x y -> not (Bits.equal x y))
       | Expr.Ult -> cmp op_ult both_small Bits.ult
       | Expr.Ule -> cmp op_ule both_small Bits.ule)
-  | Expr.Mux (ec, ea, eb) ->
-      let c = comp ec and a = comp ea and e_ = comp eb in
+  | Flat.Mux (ec, ea, eb) ->
+      let c = comp_to b ~what None ec and a = comp_to b ~what None ea and e_ = comp_to b ~what None eb in
       let wa = cell_w b a and wb = cell_w b e_ in
       if wa <> wb then width_err what wb wa;
-      let d = target wa in
+      let d = target b ~what dsto wa in
       if cell_small b c && cell_small b a && cell_small b e_ then
         emit b op_mux d c a e_ 0
       else begin
@@ -356,20 +363,21 @@ let rec comp_to b ~var ~what dsto (e : Expr.t) : int =
               set iv bv (if Bits.reduce_or (gc ()) then ga () else gb ()))
       end;
       d
-  | Expr.Shift_left (e0, k) ->
-      let a = comp e0 in
+  | Flat.Shift_left (e0, k) ->
+      let a = comp_to b ~what None e0 in
       let wa = cell_w b a in
-      let d = target wa in
-      if k < 0 || wa > small_limit then call1 d (fun v -> Bits.shift_left v k) a
+      let d = target b ~what dsto wa in
+      if k < 0 || wa > small_limit then
+        call1 b d (fun v -> Bits.shift_left v k) a
       else if k >= wa then emit_move b d (const_cell b (Bits.zero wa))
       else emit b op_shl d a k 0 (smask wa);
       d
-  | Expr.Shift_right (e0, k) ->
-      let a = comp e0 in
+  | Flat.Shift_right (e0, k) ->
+      let a = comp_to b ~what None e0 in
       let wa = cell_w b a in
-      let d = target wa in
+      let d = target b ~what dsto wa in
       if k < 0 || wa > small_limit then
-        call1 d (fun v -> Bits.shift_right v k) a
+        call1 b d (fun v -> Bits.shift_right v k) a
       else if k >= wa then emit_move b d (const_cell b (Bits.zero wa))
       else emit b op_shr d a k 0 0;
       d
@@ -893,148 +901,111 @@ let run t n =
 (* ------------------------------------------------------------------ *)
 
 let create top =
-  let decls, input_widths, assigns, fregs, fmems = Interp.flatten top in
-  let n_sig = List.length decls in
+  let f = Flat.of_circuit top in
+  let n_sig = Array.length f.names in
   let b = builder () in
   (* Cells [0, n_sig): one per flat signal, in declaration order. *)
-  List.iter (fun (_, w) -> ignore (new_cell b w)) decls;
-  let slots = Hashtbl.create (2 * n_sig) in
-  let names = Array.make (max 1 n_sig) "" in
-  List.iteri
-    (fun i (name, _) ->
-      Hashtbl.replace slots name i;
-      names.(i) <- name)
-    decls;
-  let slot name =
-    match Hashtbl.find_opt slots name with
-    | Some s -> s
-    | None -> invalid_arg (Printf.sprintf "Interp_tape: unknown signal %s" name)
-  in
+  Array.iter (fun w -> ignore (new_cell b w)) f.widths;
+  let name s () = f.names.(s) in
   (* Memory storage (allocated before compilation so memread [call]
      fallbacks can capture the arrays directly). *)
   let arrays = Hashtbl.create 8 in
   let mem_index = Hashtbl.create 8 in
-  let fmems_arr = Array.of_list fmems in
-  let n_mems = Array.length fmems_arr in
+  let n_mems = Array.length f.mems in
   let mem_arrs =
-    Array.map
-      (fun (m : Interp.flat_mem) ->
+    Array.mapi
+      (fun mi (m : Flat.mem) ->
         let arr =
-          Array.init m.fm_depth (fun i ->
-              if i < Array.length m.fm_init then m.fm_init.(i)
-              else Bits.zero m.fm_width)
+          Array.init m.mem_depth (fun i ->
+              if i < Array.length m.mem_init then m.mem_init.(i)
+              else Bits.zero m.mem_width)
         in
-        Hashtbl.replace arrays m.fm_name arr;
+        Hashtbl.replace arrays m.mem_name arr;
+        Hashtbl.replace mem_index m.mem_name mi;
         arr)
-      fmems_arr
+      f.mems
   in
-  Array.iteri
-    (fun i (m : Interp.flat_mem) -> Hashtbl.replace mem_index m.fm_name i)
-    fmems_arr;
   (* Levelize combinational assignments plus memory read ports, exactly
      as {!Interp} does, so the evaluation order agrees. *)
-  let node_bodies = Hashtbl.create (2 * List.length assigns) in
-  List.iter
-    (fun (tgt, e) -> Hashtbl.replace node_bodies tgt (`Assign e))
-    assigns;
-  Array.iteri
-    (fun mi (m : Interp.flat_mem) ->
-      List.iter
-        (fun (rd, a) -> Hashtbl.replace node_bodies rd (`Memread (mi, a)))
-        m.fm_reads)
-    fmems_arr;
-  let graph =
-    List.map (fun (tgt, e) -> (tgt, Expr.vars e)) assigns
-    @ List.concat_map
-        (fun (m : Interp.flat_mem) ->
-          List.map (fun (rd, a) -> (rd, Expr.vars a)) m.fm_reads)
-        fmems
-  in
-  let order =
-    try Depth.levelize graph
-    with Depth.Combinational_cycle cycle ->
+  let sch =
+    try Flat.schedule f
+    with Flat.Combinational_cycle cycle ->
       invalid_arg
         ("Interp_tape: combinational loop: " ^ String.concat " -> " cycle)
   in
-  let nodes = Array.of_list order in
-  let n_nodes = Array.length nodes in
+  let n_nodes = Array.length sch.order in
   let node_slot = Array.make (max 1 n_nodes) 0 in
   let node_lo = Array.make (max 1 n_nodes) 0 in
   let node_hi = Array.make (max 1 n_nodes) 0 in
   let node_level = Array.make (max 1 n_nodes) 0 in
-  let node_vars = Array.make (max 1 n_nodes) [] in
-  let node_mem = Array.make (max 1 n_nodes) (-1) in
   Array.iteri
-    (fun i (name, level) ->
-      node_lo.(i) <- Ivec.length b.c_code;
-      (match Hashtbl.find node_bodies name with
-      | `Assign e ->
-          ignore (comp_to b ~var:slot ~what:name (Some (slot name)) e);
-          node_vars.(i) <- Expr.vars e
-      | `Memread (mi, a) ->
-          let m = fmems_arr.(mi) in
-          let addr = comp_to b ~var:slot ~what:name None a in
-          let d = slot name in
-          if cell_w b d <> m.fm_width then width_err name m.fm_width (cell_w b d);
-          if cell_small b addr && m.fm_width <= small_limit then
-            emit b op_memread d addr mi m.fm_depth 0
-          else begin
-            let ga = getter b addr and set = setter b d in
-            let arr = mem_arrs.(mi) in
-            let depth = m.fm_depth in
-            let z = Bits.zero m.fm_width in
-            emit_call b d (fun iv bv ->
-                let ga = ga iv bv in
-                fun () ->
-                  let a = Bits.to_int_trunc (ga ()) in
-                  set iv bv (if a < depth then arr.(a) else z))
-          end;
-          node_vars.(i) <- Expr.vars a;
-          node_mem.(i) <- mi);
-      node_hi.(i) <- Ivec.length b.c_code;
-      node_slot.(i) <- slot name;
-      node_level.(i) <- level)
-    nodes;
+    (fun k i ->
+      let (nd : Flat.node) = f.nodes.(i) in
+      let d = nd.target in
+      node_lo.(k) <- Ivec.length b.c_code;
+      (if nd.mem < 0 then ignore (comp_to b ~what:(name d) (Some d) nd.body)
+       else begin
+         let mi = nd.mem in
+         let m = f.mems.(mi) in
+         let addr = comp_to b ~what:(name d) None nd.body in
+         if cell_w b d <> m.mem_width then
+           width_err (name d) m.mem_width (cell_w b d);
+         if cell_small b addr && m.mem_width <= small_limit then
+           emit b op_memread d addr mi m.mem_depth 0
+         else begin
+           let ga = getter b addr and set = setter b d in
+           let arr = mem_arrs.(mi) in
+           let depth = m.mem_depth in
+           let z = Bits.zero m.mem_width in
+           emit_call b d (fun iv bv ->
+               let ga = ga iv bv in
+               fun () ->
+                 let a = Bits.to_int_trunc (ga ()) in
+                 set iv bv (if a < depth then arr.(a) else z))
+         end
+       end);
+      node_hi.(k) <- Ivec.length b.c_code;
+      node_slot.(k) <- d;
+      node_level.(k) <- sch.levels.(k))
+    sch.order;
   let comb_hi = Ivec.length b.c_code in
   (* Clock-edge sampling segment: register nexts, then memory ports. *)
   let edge_lo = comb_hi in
   let regs =
-    Array.of_list
-      (List.map
-         (fun (r : Interp.flat_reg) ->
-           let s = slot r.fr_name in
-           let w = cell_w b s in
-           if Bits.width r.fr_init <> w then
-             invalid_arg
-               (Printf.sprintf
-                  "Interp_tape: register %s: init width %d does not match \
-                   declared width %d"
-                  r.fr_name (Bits.width r.fr_init) w);
-           let nc = new_cell b w in
-           ignore
-             (comp_to b ~var:slot
-                ~what:("next of " ^ r.fr_name)
-                (Some nc) r.fr_next);
-           { tr_slot = s; tr_init = r.fr_init; tr_next = nc })
-         fregs)
+    Array.map
+      (fun (r : Flat.reg) ->
+        let s = r.reg_slot in
+        let w = cell_w b s in
+        if Bits.width r.reg_init <> w then
+          invalid_arg
+            (Printf.sprintf
+               "Interp_tape: register %s: init width %d does not match \
+                declared width %d"
+               f.names.(s) (Bits.width r.reg_init) w);
+        let nc = new_cell b w in
+        ignore
+          (comp_to b
+             ~what:(fun () -> "next of " ^ f.names.(s))
+             (Some nc) r.reg_next);
+        { tr_slot = s; tr_init = r.reg_init; tr_next = nc })
+      f.regs
   in
   let mems =
     Array.mapi
-      (fun mi (m : Interp.flat_mem) ->
+      (fun mi (m : Flat.mem) ->
+        let what () = m.mem_name ^ " write" in
         let writes =
           Array.of_list
             (List.map
-               (fun (w : Circuit.mem_write) ->
-                 (* Sample into private cells: a bare [Var] compiles to
+               (fun (w : Flat.mem_write) ->
+                 (* Sample into private cells: a bare slot compiles to
                     the slot cell itself, and the commit loop runs after
                     registers commit — reading a register's slot there
                     would observe the post-edge value.  [Interp] samples
                     all write ports pre-commit; the copy preserves
                     that. *)
                  let cw e =
-                   let c =
-                     comp_to b ~var:slot ~what:(m.fm_name ^ " write") None e
-                   in
+                   let c = comp_to b ~what None e in
                    if c < n_sig then begin
                      let d = new_cell b (cell_w b c) in
                      emit_move b d c;
@@ -1043,18 +1014,18 @@ let create top =
                    else c
                  in
                  { tw_we = cw w.we; tw_addr = cw w.waddr; tw_data = cw w.wdata })
-               m.fm_writes)
+               m.mem_writes)
         in
         {
-          tm_name = m.fm_name;
-          tm_width = m.fm_width;
-          tm_depth = m.fm_depth;
-          tm_init = m.fm_init;
+          tm_name = m.mem_name;
+          tm_width = m.mem_width;
+          tm_depth = m.mem_depth;
+          tm_init = m.mem_init;
           tm_arr = mem_arrs.(mi);
           tm_writes = writes;
           tm_index = mi;
         })
-      fmems_arr
+      f.mems
   in
   let edge_hi = Ivec.length b.c_code in
   (* Freeze the builder into the runtime arrays. *)
@@ -1062,47 +1033,51 @@ let create top =
   let widths = Ivec.to_array b.b_widths in
   let wide = Array.map (fun w -> w > small_limit) widths in
   let ivals = Array.make (max 1 n_cells) 0 in
-  let bvals = Array.make (max 1 n_cells) (Bits.of_bool false) in
+  let bvals = Array.make (max 1 n_cells) bits_false in
   Array.iteri (fun c w -> if w > small_limit then bvals.(c) <- Bits.zero w) widths;
   List.iter
     (fun (c, v) ->
       if wide.(c) then bvals.(c) <- v else ivals.(c) <- Bits.to_int_trunc v)
     b.b_consts;
-  (* slot -> fanout CSR (deduplicated per node by [Expr.vars]). *)
-  let fan_cnt = Array.make (n_sig + 1) 0 in
-  for i = 0 to n_nodes - 1 do
-    List.iter (fun v -> fan_cnt.(slot v) <- fan_cnt.(slot v) + 1) node_vars.(i)
-  done;
+  (* slot -> fanout CSR over each scheduled node's distinct reads. *)
+  let dep_off = sch.dep_off and deps = sch.deps in
   let fan_off = Array.make (n_sig + 1) 0 in
+  Array.iter
+    (fun i ->
+      for j = dep_off.(i) to dep_off.(i + 1) - 1 do
+        let s = deps.(j) + 1 in
+        fan_off.(s) <- fan_off.(s) + 1
+      done)
+    sch.order;
   for s = 0 to n_sig - 1 do
-    fan_off.(s + 1) <- fan_off.(s) + fan_cnt.(s)
+    fan_off.(s + 1) <- fan_off.(s + 1) + fan_off.(s)
   done;
   let fan_nodes = Array.make (max 1 fan_off.(n_sig)) 0 in
   let cursor = Array.copy fan_off in
-  for i = 0 to n_nodes - 1 do
-    List.iter
-      (fun v ->
-        let s = slot v in
-        fan_nodes.(cursor.(s)) <- i;
-        cursor.(s) <- cursor.(s) + 1)
-      node_vars.(i)
-  done;
+  Array.iteri
+    (fun k i ->
+      for j = dep_off.(i) to dep_off.(i + 1) - 1 do
+        let s = deps.(j) in
+        fan_nodes.(cursor.(s)) <- k;
+        cursor.(s) <- cursor.(s) + 1
+      done)
+    sch.order;
   (* memory -> read-port-node CSR. *)
-  let mem_cnt = Array.make (n_mems + 1) 0 in
-  for i = 0 to n_nodes - 1 do
-    if node_mem.(i) >= 0 then
-      mem_cnt.(node_mem.(i)) <- mem_cnt.(node_mem.(i)) + 1
-  done;
+  let node_mem k = f.nodes.(sch.order.(k)).mem in
   let mem_fan_off = Array.make (n_mems + 1) 0 in
+  for k = 0 to n_nodes - 1 do
+    let mi = node_mem k in
+    if mi >= 0 then mem_fan_off.(mi + 1) <- mem_fan_off.(mi + 1) + 1
+  done;
   for m = 0 to n_mems - 1 do
-    mem_fan_off.(m + 1) <- mem_fan_off.(m) + mem_cnt.(m)
+    mem_fan_off.(m + 1) <- mem_fan_off.(m + 1) + mem_fan_off.(m)
   done;
   let mem_fan_nodes = Array.make (max 1 mem_fan_off.(n_mems)) 0 in
   let mcursor = Array.copy mem_fan_off in
-  for i = 0 to n_nodes - 1 do
-    let mi = node_mem.(i) in
+  for k = 0 to n_nodes - 1 do
+    let mi = node_mem k in
     if mi >= 0 then begin
-      mem_fan_nodes.(mcursor.(mi)) <- i;
+      mem_fan_nodes.(mcursor.(mi)) <- k;
       mcursor.(mi) <- mcursor.(mi) + 1
     end
   done;
@@ -1115,17 +1090,16 @@ let create top =
   done;
   let buckets = Array.map (fun n -> Array.make (max 1 n) 0) level_cnt in
   let top_inputs = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun name _w -> Hashtbl.replace top_inputs name (slot name))
-    input_widths;
+  List.iter (fun (name, s) -> Hashtbl.replace top_inputs name s) f.inputs;
   let driven = Array.make (max 1 n_sig) false in
   Array.iteri (fun i s -> if i < n_nodes then driven.(s) <- true) node_slot;
   Array.iter (fun r -> driven.(r.tr_slot) <- true) regs;
-  let calls_specs = Array.of_list (List.rev b.b_calls) in
+  let calls = Array.make b.b_ncalls ignore in
+  List.iteri (fun i spec -> calls.(i) <- spec ivals bvals) (List.rev b.b_calls);
   let t =
     {
-      slots;
-      names;
+      slots = f.slots;
+      names = f.names;
       top_inputs;
       n_sig;
       widths;
@@ -1138,7 +1112,7 @@ let create top =
       o_b = Ivec.to_array b.c_b;
       o_c = Ivec.to_array b.c_c;
       o_m = Ivec.to_array b.c_m;
-      calls = Array.map (fun spec -> spec ivals bvals) calls_specs;
+      calls;
       comb_hi;
       edge_lo;
       edge_hi;

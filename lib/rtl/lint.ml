@@ -67,9 +67,14 @@ let check top =
      List.iter collect subs
    with Invalid_argument msg -> errors := msg :: !errors);
   collect top;
-  (* Combinational loop detection: rely on the interpreter's scheduler. *)
-  (try ignore (Interp.create top)
-   with Invalid_argument msg -> errors := msg :: !errors);
+  (* Duplicate flat signals and combinational loops: flatten and
+     levelize, without building an engine. *)
+  (match Flat.schedule (Flat.of_circuit top) with
+  | _ -> ()
+  | exception Invalid_argument msg -> errors := msg :: !errors
+  | exception Flat.Combinational_cycle cycle ->
+      errors :=
+        ("combinational loop: " ^ String.concat " -> " cycle) :: !errors);
   { errors = List.rev !errors; warnings = List.rev !warnings }
 
 let pp_report fmt r =

@@ -7,9 +7,11 @@ type report = {
 }
 
 val check : Circuit.t -> report
-(** Errors: combinational loops anywhere in the flattened hierarchy,
-    duplicate instance names, signals named [clk]/[rst] (reserved by the
-    Verilog emitter).  Warnings: wires that drive nothing (unread). *)
+(** Errors: combinational loops anywhere in the flattened hierarchy and
+    declarations that flatten to the same name (both found on the
+    {!Flat} netlist, without building an engine), duplicate instance
+    names, signals named [clk]/[rst] (reserved by the Verilog emitter).
+    Warnings: wires that drive nothing (unread). *)
 
 val is_clean : report -> bool
 (** No errors (warnings allowed). *)

@@ -2,6 +2,7 @@
    child, reply bytes a pure function of the request. *)
 
 module G = Bussyn.Generate
+module Json = Busgen_json.Json
 module A = Bussyn.Archs
 module E = Busgen_rtl.Engine
 module C = Busgen_rtl.Circuit
@@ -379,18 +380,7 @@ let inject_result arch config seed n cycles kind =
   let sim = Cache.engine ~kind ~hash ~top in
   let inputs = C.inputs top in
   let outputs = List.map (fun (p : C.port) -> p.C.port_name) (C.outputs top) in
-  let contains hay needle =
-    let n = String.length hay and m = String.length needle in
-    let rec go i = i + m <= n && (String.sub hay i m = needle || go (i + 1)) in
-    go 0
-  in
-  let watch =
-    List.filter
-      (fun s ->
-        contains s "parity_error" || contains s "bus_timeout"
-        || contains s "par_err" || contains s "wd_to")
-      (E.signal_names sim)
-  in
+  let watch = List.filter A.is_protection_tap (E.signal_names sim) in
   let observed = outputs @ watch in
   let n_out = List.length outputs in
   let lcg = ref ((seed lxor 0x5EED) land 0x3FFFFFFF) in

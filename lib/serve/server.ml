@@ -4,6 +4,7 @@
    concurrency — which also keeps the process fork-safe for the
    procpool workers. *)
 
+module Json = Busgen_json.Json
 module Sv = Busgen_par.Supervise
 module Procpool = Busgen_par.Procpool
 module Intr = Busgen_par.Intr

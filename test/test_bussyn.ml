@@ -454,6 +454,29 @@ let test_archs_lint_clean () =
         Alcotest.failf "%s: %a" name Lint.pp_report report)
     (Lazy.force archs_small)
 
+let test_protection_taps () =
+  (* The protection strobes are flat signals of protected systems only,
+     and matching them allocates nothing. *)
+  let c = Archs.small_config ~n_pes:2 in
+  let taps g =
+    let sim = Engine.create g.Archs.top in
+    List.filter Archs.is_protection_tap (Engine.signal_names sim)
+  in
+  Alcotest.(check (list string)) "unprotected: none" []
+    (taps (Archs.gbaviii c));
+  let protected = taps (Archs.gbaviii { c with Archs.protect = true }) in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) ("protected: " ^ s) true (List.mem s protected))
+    [ "BAN_0$parity_error"; "BAN_0$bus_timeout"; "BAN_1$w_par_err";
+      "GMEM$w_wd_to" ];
+  let names = [ "BAN_0$parity_error"; "BAN_0$WDOG$timeout"; "x$w_wd_to"; "a" ] in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    List.iter (fun s -> ignore (Sys.opaque_identity (Archs.is_protection_tap s))) names
+  done;
+  Alcotest.(check bool) "no allocation" true (Gc.minor_words () -. w0 < 64.)
+
 let test_archs_verilog_roundtrip () =
   (* Every module of every generated system survives the emit-parse-match
      round trip, so the shipped Verilog is structurally faithful. *)
@@ -776,18 +799,33 @@ let test_gbaviii_end_to_end () =
     (cpu_txn sim 1 ~dw ~rnw:true ~addr:9 ~wdata:0)
 
 let test_depth_of_architectures () =
-  (* Sanity on real generated systems: every architecture has a finite,
-     positive combinational depth, and the arbitrated single-bus CCBA is
-     at least as deep as a lone BAN's local path. *)
-  let c = Archs.small_config ~n_pes:2 in
+  (* The critical path of every architecture, with and without the
+     protection hardware, at both bus widths, pinned to exact levels so
+     a change to the flattening or the cost model shows.  The paths end
+     at the CPU interface's read-data register (SplitBA: a bridge's
+     return-data register), and neither the width nor the protection
+     hardware lengthens them. *)
   List.iter
-    (fun (nm, build) ->
-      let g : Archs.generated = build c in
-      let r = Depth.of_circuit g.Archs.top in
-      if r.Depth.levels <= 0 || r.Depth.levels > 500 then
-        Alcotest.failf "%s: implausible depth %d" nm r.Depth.levels)
-    [ ("bfba", Archs.bfba); ("gbavi", Archs.gbavi);
-      ("ccba", Archs.ccba) ]
+    (fun (nm, build, levels) ->
+      List.iter
+        (fun protect ->
+          List.iter
+            (fun w ->
+              let c =
+                { (Archs.small_config ~n_pes:2) with
+                  Archs.bus_data_width = w; protect }
+              in
+              let g : Archs.generated = build c in
+              let r = Depth.of_circuit g.Archs.top in
+              Alcotest.(check int)
+                (Printf.sprintf "%s protect=%b width=%d" nm protect w)
+                levels r.Depth.levels)
+            [ 16; 32 ])
+        [ false; true ])
+    [ ("bfba", Archs.bfba, 17); ("gbavi", Archs.gbavi, 27);
+      ("gbavii", Archs.gbavii, 28); ("gbaviii", Archs.gbaviii, 15);
+      ("hybrid", Archs.hybrid, 18); ("splitba", Archs.splitba, 18);
+      ("ggba", Archs.ggba, 13); ("ccba", Archs.ccba, 19) ]
 
 let prop_optimizer_preserves_system =
   (* Strongest equivalence check we can run without a formal tool: the
@@ -1557,6 +1595,7 @@ let () =
       ( "architectures",
         [
           Alcotest.test_case "lint clean" `Quick test_archs_lint_clean;
+          Alcotest.test_case "protection taps" `Quick test_protection_taps;
           Alcotest.test_case "wire entries valid" `Quick
             test_archs_wire_entries_valid;
           Alcotest.test_case "protected generation" `Quick

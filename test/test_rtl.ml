@@ -439,8 +439,10 @@ let test_comb_loop_detected () =
             in
             has "combinational loop"))
   | _ -> Alcotest.fail "loop not detected");
+  (* Lint finds the loop from the netlist alone and names its path. *)
   let report = Lint.check c in
-  Alcotest.(check bool) "lint flags loop" false (Lint.is_clean report)
+  Alcotest.(check (list string)) "lint flags loop"
+    [ "combinational loop: w1 -> w2 -> w1" ] report.Lint.errors
 
 let test_lint_clean_counter () =
   let report = Lint.check (counter_circuit ()) in
@@ -978,34 +980,96 @@ let test_bits_repr_boundary () =
 (* Levelize                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let test_levelize () =
-  (* Diamond: d depends on b and c, both depend on a; a is a source. *)
-  let nodes =
-    [ ("d", [ "b"; "c" ]); ("b", [ "a" ]); ("c", [ "a" ]); ("x", []) ]
+(* Random DAGs for the levelizer: node [i] may depend on nodes created
+   before it and on undriven sources; the list order is shuffled so the
+   search starts anywhere. *)
+let gen_dag =
+  let open QCheck.Gen in
+  int_range 1 24 >>= fun n ->
+  let node i =
+    list_size (int_bound 4)
+      (if i = 0 then map (Printf.sprintf "s%d") (int_bound 4)
+       else
+         oneof
+           [ map (Printf.sprintf "s%d") (int_bound 4);
+             map (Printf.sprintf "n%d") (int_bound (i - 1)) ])
+    >|= fun deps -> (Printf.sprintf "n%d" i, deps)
   in
-  let order = Depth.levelize nodes in
-  let level n = List.assoc n order in
-  Alcotest.(check int) "b level" 1 (level "b");
-  Alcotest.(check int) "c level" 1 (level "c");
-  Alcotest.(check int) "d level" 2 (level "d");
-  Alcotest.(check int) "constant level" 0 (level "x");
-  (* Dependency-first order. *)
-  let pos n =
-    let rec go i = function
-      | [] -> Alcotest.failf "%s missing from order" n
-      | (m, _) :: _ when m = n -> i
-      | _ :: rest -> go (i + 1) rest
-    in
-    go 0 order
-  in
-  Alcotest.(check bool) "b before d" true (pos "b" < pos "d");
-  Alcotest.(check bool) "c before d" true (pos "c" < pos "d");
-  (* Cycles raise with the offending path. *)
-  match Depth.levelize [ ("p", [ "q" ]); ("q", [ "p" ]) ] with
-  | exception Depth.Combinational_cycle cycle ->
-      Alcotest.(check bool) "cycle names both nodes" true
-        (List.mem "p" cycle && List.mem "q" cycle)
-  | _ -> Alcotest.fail "cycle not detected"
+  flatten_l (List.init n node) >>= shuffle_l
+
+let print_dag =
+  QCheck.Print.(list (pair string (list string)))
+
+let prop_levelize =
+  QCheck.Test.make ~name:"levelize" ~count:300
+    (QCheck.make ~print:print_dag gen_dag) (fun nodes ->
+      let is_node n = List.mem_assoc n nodes in
+      let order = Depth.levelize nodes in
+      let pos = Hashtbl.create 32 and level = Hashtbl.create 32 in
+      List.iteri
+        (fun i (n, l) ->
+          Hashtbl.replace pos n i;
+          Hashtbl.replace level n l)
+        order;
+      let level_of d = if is_node d then Hashtbl.find level d else 0 in
+      (* Every node once, after each of its dependencies, one level above
+         the deepest of them (sources are level 0). *)
+      List.length order = List.length nodes
+      && List.for_all
+           (fun (n, ds) ->
+             Hashtbl.mem pos n
+             && List.for_all
+                  (fun d -> (not (is_node d)) || Hashtbl.find pos d < Hashtbl.find pos n)
+                  ds
+             && Hashtbl.find level n
+                = 1 + List.fold_left (fun acc d -> max acc (level_of d)) (-1) ds)
+           nodes
+      (* The by-name wrapper is the integer core. *)
+      && (let ids = Hashtbl.create 32 in
+          let id n =
+            match Hashtbl.find_opt ids n with
+            | Some i -> i
+            | None ->
+                let i = Hashtbl.length ids in
+                Hashtbl.add ids n i;
+                i
+          in
+          let targets = Array.of_list (List.map (fun (n, _) -> id n) nodes) in
+          let deps = List.concat_map (fun (_, ds) -> List.map id ds) nodes in
+          let dep_off = Array.make (List.length nodes + 1) 0 in
+          List.iteri
+            (fun i (_, ds) -> dep_off.(i + 1) <- dep_off.(i) + List.length ds)
+            nodes;
+          let core, levels =
+            Flat.levelize ~n:(Hashtbl.length ids) ~name:(fun _ -> "")
+              ~targets ~dep_off ~deps:(Array.of_list deps)
+          in
+          List.map fst order
+          = Array.to_list (Array.map (fun i -> fst (List.nth nodes i)) core)
+          && List.map snd order = Array.to_list levels)
+      (* One back edge closes a cycle, and the reported nodes form one. *)
+      &&
+      match List.find_opt (fun (_, ds) -> List.exists is_node ds) nodes with
+      | None -> true
+      | Some (x, ds) -> (
+          let d = List.find is_node ds in
+          let looped =
+            List.map
+              (fun (n, ds) -> if n = d then (n, ds @ [ x ]) else (n, ds))
+              nodes
+          in
+          match Depth.levelize looped with
+          | _ -> false
+          | exception Depth.Combinational_cycle cycle ->
+              let rec edges = function
+                | a :: (b :: _ as rest) ->
+                    List.mem b (List.assoc a looped) && edges rest
+                | _ -> true
+              in
+              List.length cycle >= 2
+              && List.hd cycle = List.nth cycle (List.length cycle - 1)
+              && List.for_all is_node cycle
+              && edges cycle))
 
 let test_duplicate_signal_instance_path () =
   (* A top-level wire named [u$q] collides with the flattened name of
@@ -1045,6 +1109,43 @@ let test_duplicate_signal_instance_path () =
       Alcotest.(check bool) "names the colliding instance" true
         (has "u (leaf)")
   | _ -> Alcotest.fail "duplicate flat signal accepted"
+
+let test_flat_hierarchical_reference () =
+  (* A parent expression may name a sub-instance's signal by its flat
+     name; the flattener resolves it through the global table.  A name
+     no circuit declares is an error naming it. *)
+  let open Circuit.Builder in
+  let sub =
+    let b = create "leaf" in
+    let a = input b "a" 4 in
+    output b "q" 4;
+    assign b "q" Expr.(~:a);
+    finish b
+  in
+  let b = create "parent" in
+  let a = input b "a" 4 in
+  output b "o" 4;
+  (match instantiate b ~name:"u" sub ~inputs:[ ("a", a) ] ~outputs:[ ("q", "uq") ] with
+  | [ e ] -> assign b "o" e
+  | _ -> assert false);
+  let top = finish b in
+  let retarget v =
+    { top with
+      Circuit.assigns = [ { Circuit.target = "o"; expr = Expr.var v } ] }
+  in
+  let f = Flat.of_circuit (retarget "u$q") in
+  let o = Hashtbl.find f.Flat.slots "o" and uq = Hashtbl.find f.Flat.slots "u$q" in
+  Alcotest.(check bool) "o reads u$q" true
+    (Array.exists
+       (fun (nd : Flat.node) -> nd.Flat.target = o && nd.Flat.body = Flat.Slot uq)
+       f.Flat.nodes);
+  let sim = Interp.create (retarget "u$q") in
+  Interp.set_input sim "a" (Bits.of_int ~width:4 5);
+  Interp.settle sim;
+  Alcotest.(check int) "evaluates through the instance" 10 (Interp.peek_int sim "o");
+  Alcotest.check_raises "unknown name"
+    (Invalid_argument "Flat: unknown signal nope") (fun () ->
+      ignore (Flat.of_circuit (retarget "nope")))
 
 let test_comb_loop_has_path () =
   (* The loop diagnostic must list the signals on the cycle instead of
@@ -1502,10 +1603,12 @@ let () =
           Alcotest.test_case "opt circuit" `Quick test_opt_circuit_equivalence;
           Alcotest.test_case "verilog hierarchy" `Quick
             test_verilog_design_hierarchy;
-          Alcotest.test_case "levelize" `Quick test_levelize;
+          QCheck_alcotest.to_alcotest prop_levelize;
           Alcotest.test_case "duplicate signal path" `Quick
             test_duplicate_signal_instance_path;
           Alcotest.test_case "comb loop path" `Quick test_comb_loop_has_path;
+          Alcotest.test_case "flat hierarchical reference" `Quick
+            test_flat_hierarchical_reference;
         ] );
       ( "differential",
         [
