@@ -686,8 +686,7 @@ let inject_cmd =
       worker_mem_mb worker_cpu_s engine =
     let module I = Busgen_rtl.Interp in
     let module E = Busgen_rtl.Engine in
-    let module C = Busgen_rtl.Circuit in
-    let module B = Busgen_rtl.Bits in
+    let module Cm = Busgen_verify.Campaign in
     let kind = engine_of_string engine in
     let policy =
       Sv.policy
@@ -717,42 +716,11 @@ let inject_cmd =
     in
     let r = G.generate arch config in
     let top = r.G.generated.Bussyn.Archs.top in
-    let inputs = C.inputs top in
-    let outputs =
-      List.map (fun (p : C.port) -> p.C.port_name) (C.outputs top)
-    in
     let sim = E.create ~kind top in
-    (* The protection strobes exported by the boundary modules (they
-       dangle into nc_ wires at the system level but remain observable
-       flat signals). *)
-    let watch = List.filter Bussyn.Archs.is_protection_tap (E.signal_names sim) in
-    let observed = outputs @ watch in
-    let n_out = List.length outputs in
     (* Deterministic input stimulus, shared by the golden and every
        faulty run. *)
-    let lcg = ref ((seed lxor 0x5EED) land 0x3FFFFFFF) in
-    let next () =
-      lcg := ((!lcg * 1664525) + 1013904223) land 0x3FFFFFFF;
-      !lcg
-    in
-    let schedule =
-      Array.init cycles (fun _ ->
-          List.map
-            (fun (p : C.port) ->
-              ( p.C.port_name,
-                B.init p.C.port_width (fun _ -> next () land 1 = 1) ))
-            inputs)
-    in
-    let run_once sim =
-      E.reset sim;
-      Array.map
-        (fun ins ->
-          List.iter (fun (nm, v) -> E.set_input sim nm v) ins;
-          E.step sim;
-          List.map (fun s -> E.peek sim s) observed)
-        schedule
-    in
-    let golden = run_once sim in
+    let stim = Cm.prepare sim top ~seed ~cycles in
+    let golden = Cm.trace stim sim in
     let campaign =
       Array.of_list (E.random_campaign sim ~seed ~n ~horizon:cycles)
     in
@@ -777,17 +745,7 @@ let inject_cmd =
           let inj = campaign.(idx) in
           let sim = E.create ~kind top in
           E.inject sim [ inj ];
-          let faulty = run_once sim in
-          let corrupt = ref false and flagged = ref false in
-          Array.iteri
-            (fun cy vals ->
-              List.iteri
-                (fun i f ->
-                  if not (B.equal f (List.nth golden.(cy) i)) then
-                    if i < n_out then corrupt := true else flagged := true)
-                vals)
-            faulty;
-          (!corrupt, !flagged))
+          Cm.classify stim ~golden (Cm.trace stim sim))
     with
     | exception Sv.Interrupted ->
         prerr_endline "inject: interrupted";
@@ -834,7 +792,7 @@ let inject_cmd =
         if !casualties > 0 then
           Printf.printf "  NOT CLASSIFIED:       %d (sweep casualties)\n"
             !casualties;
-        if watch = [] then
+        if not (Cm.protected stim) then
           print_endline
             "  (no protection signals in this design; use --protect to add \
              watchdog/parity hardware)";

@@ -126,17 +126,18 @@ let score ?(engine = E.default_kind) ?(generate = G.generate) (p : Profile.t)
         E.random_campaign sim ~seed:p.Profile.fault_seed ~n:p.Profile.faults
           ~horizon
       in
-      let watch = watch_signals sim in
+      (* Resolved once: the handles outlive every reset below. *)
+      let watch =
+        Array.of_list (List.map (E.int_reader sim) (watch_signals sim))
+      in
       let survived = ref 0 and det = ref 0 in
       List.iter
         (fun inj ->
           let tb = fresh_tb [ inj ] in
           let flagged = ref false in
-          if watch <> [] then
+          if watch <> [||] then
             E.on_cycle sim (fun _ ->
-                if
-                  (not !flagged)
-                  && List.exists (fun s -> E.peek_int sim s <> 0) watch
+                if (not !flagged) && Array.exists (fun r -> r () <> 0) watch
                 then flagged := true);
           let ok, st = drive_traffic tb in
           if ok && st.Traffic.mismatches = 0 then incr survived;

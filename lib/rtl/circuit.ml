@@ -264,13 +264,16 @@ module Builder = struct
         instances = List.rev b.b_instances;
       }
     in
-    (* Width-check every expression in the circuit. *)
+    (* Width-check every expression in the circuit.  [names] holds
+       exactly the signals [signal_width t] would find, with the same
+       widths, in one table. *)
     let env n =
-      try signal_width t n
-      with Not_found ->
-        invalid_arg
-          (Printf.sprintf "Circuit %s: reference to undeclared signal %s"
-             b.bname n)
+      match Hashtbl.find_opt b.names n with
+      | Some (w, _) -> w
+      | None ->
+          invalid_arg
+            (Printf.sprintf "Circuit %s: reference to undeclared signal %s"
+               b.bname n)
     in
     let check_expr context expected e =
       let w =

@@ -116,6 +116,29 @@ let reader t name =
   | S s -> Interp.reader s name
   | T s -> Interp_tape.reader s name
 
+(* Handles: the name is looked up once, here, and the returned closure
+   does no lookup.  The tape reads and writes its cells natively; ref
+   and slot wrap their by-name calls, so the reference engine stays the
+   spec for what a handle does. *)
+let int_reader t name =
+  match t with
+  | T s -> Interp_tape.int_reader s name
+  | R _ | S _ ->
+      let r = reader t name in
+      fun () -> Bits.to_int_trunc (r ())
+
+let int_writer t name =
+  match t with
+  | T s -> Interp_tape.int_writer s name
+  | R _ | S _ ->
+      (* Re-driving an input's current value changes nothing (faults on
+         inputs are stored in the value itself), and for any other name
+         it raises exactly what the by-name call raises. *)
+      let cur = try peek t name with Not_found -> Bits.zero 1 in
+      set_input t name cur;
+      let width = Bits.width cur in
+      fun v -> set_input t name (Bits.of_int ~width v)
+
 let inject t injs =
   match t with
   | R s -> Interp_ref.inject s injs

@@ -55,6 +55,25 @@ val clear_observers : t -> unit
 val reader : t -> string -> unit -> Bits.t
 (** @raise Not_found if the signal is unknown. *)
 
+(** {2 Handles}
+
+    Resolve a flat name once and get a closure that does no name
+    lookup, for loops that touch the same signals every cycle.  A
+    handle stays valid for the engine's lifetime: across {!reset},
+    {!import_state}, {!clear_observers} and injections. *)
+
+val int_reader : t -> string -> unit -> int
+(** [int_reader t name ()] equals [peek_int t name].
+    @raise Not_found if the signal is unknown. *)
+
+val int_writer : t -> string -> int -> unit
+(** [int_writer t name v] equals
+    [set_input t name (Bits.of_int ~width v)], [width] being the input's
+    width: the value is truncated to the width, and a negative one is
+    sign-extended first.
+    @raise Invalid_argument, when the handle is made, if [name] is not a
+    top input (as {!set_input} does). *)
+
 val inject : t -> Interp.injection list -> unit
 val clear_injections : t -> unit
 val current_cycle : t -> int

@@ -1169,31 +1169,43 @@ let reset t =
   t.steady <- false;
   settle t
 
-let set_input t name v =
+(* A changed input dirties its fanout and ends any idle stretch. *)
+let drive_small t s x =
+  if t.ivals.(s) <> x then begin
+    t.ivals.(s) <- x;
+    dirty_fanout t s;
+    t.steady <- false
+  end
+
+let drive_wide t s v =
+  if not (Bits.equal t.bvals.(s) v) then begin
+    t.bvals.(s) <- v;
+    dirty_fanout t s;
+    t.steady <- false
+  end
+
+let input_slot t name =
   match Hashtbl.find_opt t.top_inputs name with
+  | Some s -> s
   | None ->
       invalid_arg (Printf.sprintf "Interp_tape: %s is not a top input" name)
-  | Some s ->
-      let w = t.widths.(s) in
-      if Bits.width v <> w then
-        invalid_arg
-          (Printf.sprintf "Interp_tape: input %s expects width %d, got %d" name
-             w (Bits.width v));
-      if t.wide.(s) then begin
-        if not (Bits.equal t.bvals.(s) v) then begin
-          t.bvals.(s) <- v;
-          dirty_fanout t s;
-          t.steady <- false
-        end
-      end
-      else begin
-        let x = Bits.to_int_trunc v in
-        if t.ivals.(s) <> x then begin
-          t.ivals.(s) <- x;
-          dirty_fanout t s;
-          t.steady <- false
-        end
-      end
+
+let set_input t name v =
+  let s = input_slot t name in
+  let w = t.widths.(s) in
+  if Bits.width v <> w then
+    invalid_arg
+      (Printf.sprintf "Interp_tape: input %s expects width %d, got %d" name w
+         (Bits.width v));
+  if t.wide.(s) then drive_wide t s v else drive_small t s (Bits.to_int_trunc v)
+
+let int_writer t name =
+  let s = input_slot t name in
+  let w = t.widths.(s) in
+  if t.wide.(s) then fun v -> drive_wide t s (Bits.of_int ~width:w v)
+  else
+    let m = smask w in
+    fun v -> drive_small t s (v land m)
 
 let peek t name =
   match Hashtbl.find_opt t.slots name with
@@ -1238,6 +1250,13 @@ let reader t name =
       else
         let w = t.widths.(s) in
         fun () -> Bits.of_int ~width:w t.ivals.(s)
+
+let int_reader t name =
+  match Hashtbl.find_opt t.slots name with
+  | None -> raise Not_found
+  | Some s ->
+      if t.wide.(s) then fun () -> Bits.to_int_trunc t.bvals.(s)
+      else fun () -> t.ivals.(s)
 
 let on_cycle t f = t.obs_pending <- f :: t.obs_pending
 

@@ -60,6 +60,15 @@ val reader : t -> string -> unit -> Bits.t
 (** Pre-resolved accessor for a flat signal.
     @raise Not_found if the signal is unknown. *)
 
+val int_reader : t -> string -> unit -> int
+(** Pre-resolved {!peek_int}: reads the cell directly.
+    @raise Not_found if the signal is unknown. *)
+
+val int_writer : t -> string -> int -> unit
+(** Pre-resolved [set_input name (Bits.of_int ~width v)] for a top
+    input of width [width]: stores into the cell directly.
+    @raise Invalid_argument if [name] is not a top input. *)
+
 val inject : t -> Interp.injection list -> unit
 (** Mirror of {!Interp.inject} (same campaign descriptors, same
     validation).  Installing injections disables idle batching until

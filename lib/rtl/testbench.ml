@@ -1,8 +1,19 @@
+(* One PE's CPU socket, resolved once per testbench. *)
+type socket = {
+  req : int -> unit;
+  rnw : int -> unit;
+  addr : int -> unit;
+  wdata : int -> unit;
+  ack : unit -> int;
+  rdata : unit -> Bits.t;
+}
+
 type t = {
   circuit : Circuit.t option;
   sim : Engine.t;
   widths : (string, int) Hashtbl.t; (* input ports *)
   mutable cycle_count : int;
+  sockets : (int, socket) Hashtbl.t; (* pe -> socket *)
 }
 
 exception Timeout of string
@@ -16,6 +27,9 @@ let input_widths circuit =
     (Circuit.inputs circuit);
   widths
 
+let make circuit sim widths =
+  { circuit; sim; widths; cycle_count = 0; sockets = Hashtbl.create 4 }
+
 let create ?engine circuit =
   let sim = Engine.create ?kind:engine circuit in
   Engine.reset sim;
@@ -24,10 +38,9 @@ let create ?engine circuit =
     (fun name width -> Engine.set_input sim name (Bits.zero width))
     widths;
   Engine.settle sim;
-  { circuit = Some circuit; sim; widths; cycle_count = 0 }
+  make (Some circuit) sim widths
 
-let of_engine sim =
-  { circuit = None; sim; widths = Hashtbl.create 0; cycle_count = 0 }
+let of_engine sim = make None sim (Hashtbl.create 0)
 
 let of_interp sim = of_engine (Engine.of_interp sim)
 
@@ -66,16 +79,14 @@ let expect t name want =
     raise
       (Mismatch (Printf.sprintf "%s: got 0x%x, want 0x%x" name got want))
 
-let wait_for t ?(timeout = 1000) name value =
+(* Step until [read ()] equals [value], at most [timeout] + 1 times;
+   false if it never did. *)
+let wait_until t ~timeout read value =
   let rec go n =
-    if n > timeout then
-      raise
-        (Timeout
-           (Printf.sprintf "%s did not reach 0x%x within %d cycles" name value
-              timeout))
+    if n > timeout then false
     else begin
       Engine.settle t.sim;
-      if peek t name = value then ()
+      if read () = value then true
       else begin
         t.cycle_count <- t.cycle_count + 1;
         Engine.step t.sim;
@@ -85,6 +96,13 @@ let wait_for t ?(timeout = 1000) name value =
   in
   go 0
 
+let wait_for t ?(timeout = 1000) name value =
+  if not (wait_until t ~timeout (fun () -> peek t name) value) then
+    raise
+      (Timeout
+         (Printf.sprintf "%s did not reach 0x%x within %d cycles" name value
+            timeout))
+
 let pulse t name =
   drive t name 1;
   step t ();
@@ -93,19 +111,43 @@ let pulse t name =
 module Cpu = struct
   let p pe s = Printf.sprintf "cpu%d_%s" pe s
 
+  let writer t name =
+    try Engine.int_writer t.sim name
+    with Invalid_argument _ ->
+      invalid_arg (Printf.sprintf "Testbench.drive: unknown input %s" name)
+
+  (* Sequenced lets, not a record literal: the writers must be resolved
+     first so a missing socket fails as an unknown input. *)
+  let resolve t pe =
+    let req = writer t (p pe "req") in
+    let rnw = writer t (p pe "rnw") in
+    let addr = writer t (p pe "addr") in
+    let wdata = writer t (p pe "wdata") in
+    let ack = Engine.int_reader t.sim (p pe "ack") in
+    let rdata = Engine.reader t.sim (p pe "rdata") in
+    { req; rnw; addr; wdata; ack; rdata }
+
+  let socket t pe =
+    match Hashtbl.find_opt t.sockets pe with
+    | Some s -> s
+    | None ->
+        let s = resolve t pe in
+        Hashtbl.add t.sockets pe s;
+        s
+
   let transaction t ~pe ~rnw ~addr ~wdata =
-    drive t (p pe "req") 1;
-    drive t (p pe "rnw") (if rnw then 1 else 0);
-    drive t (p pe "addr") addr;
-    drive t (p pe "wdata") wdata;
+    let s = socket t pe in
+    s.req 1;
+    s.rnw (if rnw then 1 else 0);
+    s.addr addr;
+    s.wdata wdata;
     step t ();
-    drive t (p pe "req") 0;
-    (try wait_for t ~timeout:1000 (p pe "ack") 1
-     with Timeout _ ->
-       raise
-         (Timeout
-            (Printf.sprintf "pe%d: no acknowledge for address 0x%x" pe addr)));
-    let v = Engine.peek t.sim (p pe "rdata") in
+    s.req 0;
+    if not (wait_until t ~timeout:1000 s.ack 1) then
+      raise
+        (Timeout
+           (Printf.sprintf "pe%d: no acknowledge for address 0x%x" pe addr));
+    let v = s.rdata () in
     step t ();
     v
 

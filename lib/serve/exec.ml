@@ -5,14 +5,13 @@ module G = Bussyn.Generate
 module Json = Busgen_json.Json
 module A = Bussyn.Archs
 module E = Busgen_rtl.Engine
-module C = Busgen_rtl.Circuit
-module B = Busgen_rtl.Bits
 module I = Busgen_rtl.Interp
 module Tb = Busgen_rtl.Testbench
 module V_pack = Busgen_verify.Pack
 module V_prop = Busgen_verify.Prop
 module V_traffic = Busgen_verify.Traffic
 module V_fuzz = Busgen_verify.Fuzz
+module V_campaign = Busgen_verify.Campaign
 module X = Busgen_explore.Explore
 module Xp = Busgen_explore.Profile
 module Io = Busgen_binio.Io
@@ -378,33 +377,8 @@ let inject_result arch config seed n cycles kind =
   let top = r.G.generated.A.top in
   let hash = G.design_hash arch config in
   let sim = Cache.engine ~kind ~hash ~top in
-  let inputs = C.inputs top in
-  let outputs = List.map (fun (p : C.port) -> p.C.port_name) (C.outputs top) in
-  let watch = List.filter A.is_protection_tap (E.signal_names sim) in
-  let observed = outputs @ watch in
-  let n_out = List.length outputs in
-  let lcg = ref ((seed lxor 0x5EED) land 0x3FFFFFFF) in
-  let next () =
-    lcg := ((!lcg * 1664525) + 1013904223) land 0x3FFFFFFF;
-    !lcg
-  in
-  let schedule =
-    Array.init cycles (fun _ ->
-        List.map
-          (fun (p : C.port) ->
-            (p.C.port_name, B.init p.C.port_width (fun _ -> next () land 1 = 1)))
-          inputs)
-  in
-  let run_once () =
-    E.reset sim;
-    Array.map
-      (fun ins ->
-        List.iter (fun (nm, v) -> E.set_input sim nm v) ins;
-        E.step sim;
-        List.map (fun s -> E.peek sim s) observed)
-      schedule
-  in
-  let golden = run_once () in
+  let stim = V_campaign.prepare sim top ~seed ~cycles in
+  let golden = V_campaign.trace stim sim in
   let campaign = E.random_campaign sim ~seed ~n ~horizon:cycles in
   let detected_corrupt = ref 0
   and silent_corrupt = ref 0
@@ -414,18 +388,9 @@ let inject_result arch config seed n cycles kind =
     (fun inj ->
       E.clear_injections sim;
       E.inject sim [ inj ];
-      let faulty = run_once () in
-      let corrupt = ref false and flagged = ref false in
-      Array.iteri
-        (fun cy vals ->
-          List.iteri
-            (fun i f ->
-              if not (B.equal f (List.nth golden.(cy) i)) then
-                if i < n_out then corrupt := true else flagged := true)
-            vals)
-        faulty;
+      let faulty = V_campaign.trace stim sim in
       incr
-        (match (!corrupt, !flagged) with
+        (match V_campaign.classify stim ~golden faulty with
         | true, true -> detected_corrupt
         | true, false -> silent_corrupt
         | false, true -> detected_masked
@@ -439,7 +404,7 @@ let inject_result arch config seed n cycles kind =
       ("seed", Json.Int seed);
       ("n", Json.Int (List.length campaign));
       ("cycles", Json.Int cycles);
-      ("protected", Json.Bool (watch <> []));
+      ("protected", Json.Bool (V_campaign.protected stim));
       ("corrupted_flagged", Json.Int !detected_corrupt);
       ("corrupted_unflagged", Json.Int !silent_corrupt);
       ("masked_flagged", Json.Int !detected_masked);

@@ -9,6 +9,7 @@ module X = Busgen_explore.Explore
 module Xp = Busgen_explore.Profile
 module P = Busgen_explore.Pareto
 module Json = Busgen_json.Json
+module E = Busgen_rtl.Engine
 
 let pt ?(rel = (1, 1)) label cycles gates =
   {
@@ -270,6 +271,44 @@ let test_jobs_byte_identity () =
       Alcotest.(check bool) "den >= 1" true (pnt.P.pt_rel_den >= 1))
     (X.points r)
 
+(* The fault watch reads protection taps through engine handles: native
+   cells on the tape, by-name calls on ref and slot.  All three must
+   give the same score, detection count included. *)
+let test_score_engines_agree () =
+  let p =
+    match
+      Xp.parse
+        "seed = 5\n\
+         transactions = 40\n\
+         archs = gbaviii, ccba\n\
+         widths = 16\n\
+         depths = 4\n\
+         arbs = priority\n\
+         protect = on\n\
+         faults = 8\n\
+         fault_seed = 4\n"
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "profile: %s" e
+  in
+  let detected = ref 0 and lost = ref 0 in
+  Array.iter
+    (fun c ->
+      let tape = X.score ~engine:E.Tape p c in
+      detected := !detected + tape.X.sc_detected;
+      lost := !lost + tape.X.sc_rel_den - tape.X.sc_rel_num;
+      List.iter
+        (fun kind ->
+          let s = X.score ~engine:kind p c in
+          Alcotest.(check string)
+            (X.label c ^ " on " ^ E.kind_to_string kind)
+            (X.encode_score tape) (X.encode_score s))
+        [ E.Ref; E.Slot ])
+    (X.candidates p);
+  (* This campaign exercises both outcomes the watch can change. *)
+  Alcotest.(check bool) "some fault was flagged" true (!detected > 0);
+  Alcotest.(check bool) "some fault corrupted traffic" true (!lost > 0)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_front_permutation_invariant; prop_front_sound_and_complete ]
@@ -295,6 +334,8 @@ let () =
       ( "run",
         [
           Alcotest.test_case "grid order" `Quick test_grid_order;
+          Alcotest.test_case "engines agree on faulted scores" `Quick
+            test_score_engines_agree;
           Alcotest.test_case "jobs byte-identity" `Slow
             test_jobs_byte_identity;
         ] );

@@ -1401,6 +1401,203 @@ let test_differential_faulty () =
     (generated_top Bussyn.Generate.Gbaviii)
 
 (* ------------------------------------------------------------------ *)
+(* Handles: pre-resolved int accessors equal the by-name calls on      *)
+(* every engine                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Inputs on both sides of the 62-bit immediate limit.  Each input
+   feeds an output combinationally and a register through an xor, so a
+   write shows up in settled and in clocked values. *)
+let handle_widths = [| 1; 7; 31; 62; 63; 64; 100 |]
+
+let wide_input_circuit () =
+  let open Circuit.Builder in
+  let b = create "wide_inputs" in
+  Array.iteri
+    (fun i w ->
+      let x = input b (Printf.sprintf "in%d" i) w in
+      output b (Printf.sprintf "out%d" i) w;
+      let q = reg b (Printf.sprintf "q%d" i) w () in
+      set_next b (Printf.sprintf "q%d" i) Expr.(x ^: q);
+      assign b (Printf.sprintf "out%d" i) Expr.(x ^: q))
+    handle_widths;
+  finish b
+
+let check_same_signals what a b =
+  List.iter
+    (fun s ->
+      let x = Engine.peek a s and y = Engine.peek b s in
+      if not (Bits.equal x y) then
+        Alcotest.failf "%s: %s: handle %s vs by-name %s" what s
+          (Bits.to_verilog_literal x) (Bits.to_verilog_literal y))
+    (Engine.signal_names b)
+
+(* Negative, over-width and full-range values as well as small ones. *)
+let gen_handle_value =
+  QCheck.Gen.(
+    oneof
+      [
+        int;
+        small_signed_int;
+        oneofl [ min_int; max_int; -1; 0; 1 lsl 61; 1 lsl 62 ];
+        map (fun k -> (1 lsl k) - 1) (int_bound 62);
+      ])
+
+let prop_int_writer_matches_set_input =
+  let n = Array.length handle_widths in
+  QCheck.Test.make ~name:"int_writer = set_input (Bits.of_int)" ~count:60
+    QCheck.(
+      make
+        ~print:Print.(list (pair int int))
+        Gen.(list_size (int_range 1 24) (pair (int_bound (n - 1)) gen_handle_value)))
+    (fun writes ->
+      let top = wide_input_circuit () in
+      List.iter
+        (fun kind ->
+          let what = Engine.kind_to_string kind in
+          let h = Engine.create ~kind top and r = Engine.create ~kind top in
+          Engine.reset h;
+          Engine.reset r;
+          let ws =
+            Array.init n (fun i -> Engine.int_writer h (Printf.sprintf "in%d" i))
+          in
+          List.iteri
+            (fun k (i, v) ->
+              ws.(i) v;
+              Engine.set_input r (Printf.sprintf "in%d" i)
+                (Bits.of_int ~width:handle_widths.(i) v);
+              if k mod 3 = 2 then begin
+                Engine.step h;
+                Engine.step r
+              end
+              else begin
+                Engine.settle h;
+                Engine.settle r
+              end;
+              check_same_signals what h r)
+            writes)
+        Engine.all_kinds;
+      true)
+
+(* One engine, handles resolved once, then everything [Explore.score]
+   does to a reused engine: random stimulus under an active fault
+   campaign, an observer reading through handles, snapshots, reset,
+   [import_state], [clear_observers] and [clear_injections]. *)
+let handle_top = lazy (generated_top ~protect:true Bussyn.Generate.Gbaviii)
+
+let prop_int_reader_matches_peek_int =
+  QCheck.Test.make ~name:"int_reader = peek_int, across reset and restore"
+    ~count:4 QCheck.small_nat (fun seed ->
+      let top = Lazy.force handle_top in
+      let inputs = Circuit.inputs top in
+      List.iter
+        (fun kind ->
+          let e = Engine.create ~kind top in
+          Engine.reset e;
+          let names = Engine.signal_names e in
+          let readers = List.map (fun s -> (s, Engine.int_reader e s)) names in
+          let writers =
+            List.map
+              (fun (p : Circuit.port) ->
+                (p, Engine.int_writer e p.Circuit.port_name))
+              inputs
+          in
+          let check where =
+            List.iter
+              (fun (s, r) ->
+                let got = r () and want = Engine.peek_int e s in
+                if got <> want then
+                  Alcotest.failf "%s: %s: %s: handle %d, peek_int %d"
+                    (Engine.kind_to_string kind) where s got want)
+              readers
+          in
+          let st = Random.State.make [| seed |] in
+          let drive () =
+            List.iter
+              (fun ((p : Circuit.port), w) ->
+                w (Random.State.bits st land ((1 lsl p.Circuit.port_width) - 1)))
+              writers
+          in
+          let horizon = 24 in
+          Engine.inject e
+            (Engine.random_campaign e ~seed ~n:10 ~horizon);
+          Engine.on_cycle e (fun cy -> check (Printf.sprintf "observer %d" cy));
+          let snap = ref None in
+          for cy = 1 to horizon do
+            drive ();
+            Engine.step e;
+            check (Printf.sprintf "cycle %d" cy);
+            if cy = horizon / 2 then snap := Some (Engine.export_state e)
+          done;
+          Engine.clear_observers e;
+          check "after clear_observers";
+          Engine.clear_injections e;
+          Engine.reset e;
+          check "after reset";
+          drive ();
+          Engine.settle e;
+          check "driven after reset";
+          Engine.run e 3;
+          check "run after reset";
+          (match !snap with
+          | Some st -> Engine.import_state e st
+          | None -> ());
+          Engine.settle e;
+          check "after import_state";
+          drive ();
+          Engine.step e;
+          check "stepped after import_state")
+        Engine.all_kinds;
+      true)
+
+let test_handle_unknown_names () =
+  let outcome f =
+    match f () with () -> "ok" | exception e -> Printexc.to_string e
+  in
+  List.iter
+    (fun kind ->
+      let what s = Engine.kind_to_string kind ^ ": " ^ s in
+      let e = Engine.create ~kind (counter_circuit ()) in
+      Engine.reset e;
+      Alcotest.(check string)
+        (what "reader of an unknown signal")
+        (outcome (fun () -> ignore (Engine.peek_int e "nope")))
+        (outcome (fun () ->
+             let (_ : unit -> int) = Engine.int_reader e "nope" in
+             ()));
+      Alcotest.(check string)
+        (what "writer of an unknown signal")
+        (outcome (fun () -> Engine.set_input e "nope" (Bits.zero 1)))
+        (outcome (fun () ->
+             let (_ : int -> unit) = Engine.int_writer e "nope" in
+             ()));
+      Alcotest.(check string)
+        (what "writer of an output")
+        (outcome (fun () -> Engine.set_input e "count" (Bits.zero 8)))
+        (outcome (fun () ->
+             let (_ : int -> unit) = Engine.int_writer e "count" in
+             ()));
+      (* Resolving a handle does not disturb the simulation. *)
+      Engine.set_input e "enable" (Bits.one 1);
+      Engine.run e 3;
+      let en = Engine.int_writer e "enable" in
+      Engine.run e 2;
+      Alcotest.(check int) (what "resolving keeps the input") 5
+        (Engine.peek_int e "count");
+      en 0;
+      Engine.run e 2;
+      Alcotest.(check int) (what "handle drives") 5 (Engine.peek_int e "count");
+      (* A CPU socket that does not exist fails as an unknown input. *)
+      let tb =
+        Testbench.create ~engine:kind
+          (generated_top ~protect:false Bussyn.Generate.Gbaviii)
+      in
+      match Testbench.Cpu.read tb ~pe:7 ~addr:0 with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail (what "pe 7 read did not raise Invalid_argument"))
+    Engine.all_kinds
+
+(* ------------------------------------------------------------------ *)
 (* Idle-stretch batching: observers must fire at identical cycles with *)
 (* identical values whether or not [run] batches                       *)
 (* ------------------------------------------------------------------ *)
@@ -1632,6 +1829,12 @@ let () =
           Alcotest.test_case "campaign deterministic" `Quick
             test_random_campaign_deterministic;
           Alcotest.test_case "current cycle" `Quick test_current_cycle;
+        ] );
+      ( "handles",
+        [
+          Alcotest.test_case "unknown names" `Quick test_handle_unknown_names;
+          QCheck_alcotest.to_alcotest prop_int_writer_matches_set_input;
+          QCheck_alcotest.to_alcotest prop_int_reader_matches_peek_int;
         ] );
       ("properties", qcheck_cases);
     ]
